@@ -1,8 +1,16 @@
 #include "stringpool.hpp"
 
+#include "../obs/metrics.hpp"
+
 #include <cstring>
 
 namespace calib {
+
+namespace {
+/// intern() calls that found the pool locked by another thread: the
+/// measure of whether one global lock is enough (docs/OBSERVABILITY.md).
+obs::Counter lock_contended("stringpool.lock_contended");
+} // namespace
 
 StringPool::StringPool()  = default;
 StringPool::~StringPool() = default;
@@ -10,7 +18,11 @@ StringPool::~StringPool() = default;
 const char* StringPool::intern(std::string_view sv) {
     const std::uint64_t h = fnv1a(sv);
 
-    std::lock_guard<std::mutex> lock(mutex_);
+    std::unique_lock<std::mutex> lock(mutex_, std::try_to_lock);
+    if (!lock.owns_lock()) {
+        lock_contended.add();
+        lock.lock();
+    }
 
     auto it = index_.find(h);
     if (it != index_.end()) {

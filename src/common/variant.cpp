@@ -106,8 +106,15 @@ Variant Variant::parse(Type type, std::string_view text) {
                    : Variant();
     }
     case Type::Double: {
-        // std::from_chars<double> is available in libstdc++ 11+; use strtod
-        // for locale-independent-enough portability with a bounded copy.
+        // Fast path: from_chars, taken only when it reads all of the text
+        // to a finite value. Both parsers round correctly, so this agrees
+        // bit for bit with strtod below, which decides every other text
+        // (leading '+' or whitespace, hex, inf/nan, underflow, overflow,
+        // garbage) — the accepted grammar is strtod's (docs/FORMAT.md).
+        double d = 0.0;
+        auto [p, ec] = std::from_chars(text.data(), text.data() + text.size(), d);
+        if (ec == std::errc() && p == text.data() + text.size() && std::isfinite(d))
+            return Variant(d);
         std::string tmp(text);
         char* end = nullptr;
         errno     = 0;

@@ -1,4 +1,5 @@
 #include "common/stringpool.hpp"
+#include "obs/metrics.hpp"
 
 #include <gtest/gtest.h>
 
@@ -98,6 +99,20 @@ TEST(StringPool, ConcurrentInterningIsConsistent) {
         for (int t = 1; t < n_threads; ++t)
             EXPECT_EQ(results[t][i], results[0][i]);
     EXPECT_EQ(pool.size(), static_cast<std::size_t>(n_strings));
+}
+
+TEST(StringPool, UncontendedInterningCountsNoContention) {
+    // the counter is registered up front, and a lone thread never finds
+    // the pool locked
+    calib::obs::set_enabled(true);
+    auto& reg = calib::obs::MetricsRegistry::instance();
+    reg.reset();
+    ASSERT_TRUE(reg.find("stringpool.lock_contended").has_value());
+    StringPool pool;
+    for (int i = 0; i < 1000; ++i)
+        pool.intern("solo-" + std::to_string(i % 100));
+    EXPECT_EQ(reg.value("stringpool.lock_contended"), 0);
+    calib::obs::set_enabled(false);
 }
 
 TEST(StringPool, GlobalPoolIsSingleton) {
